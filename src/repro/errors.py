@@ -101,6 +101,49 @@ class BackendUnsupportedError(ReproError, ValueError):
         self.executor = executor
 
 
+class WireFormatError(ReproError):
+    """A wire dict (request or tree) could not be decoded.
+
+    Raised at the wire-decode boundary — :func:`repro.trees.io.tree_from_dict`,
+    :func:`repro.serve.request.request_from_dict` and
+    :func:`repro.serve.run_algorithm` — instead of the bare builtin the
+    lookup would raise.  Each concrete subclass also subclasses that
+    builtin (``KeyError`` or ``ValueError``) for backward
+    compatibility.  The message always names the offending field.
+
+    Attributes
+    ----------
+    field:
+        The wire field that was missing or held an unknown value.
+    """
+
+    # ``field`` defaults so unpickling (which calls ``cls(*args)`` and
+    # then restores ``__dict__``) works when a worker raises it.
+    def __init__(self, message: str, *, field: "str | None" = None) -> None:
+        super().__init__(message)
+        self.field = field
+
+    def __str__(self) -> str:
+        # KeyError's own __str__ would quote the message as a repr.
+        return Exception.__str__(self)
+
+
+class MissingFieldError(WireFormatError, KeyError):
+    """A required wire field (``"id"``, ``"tree"``, ...) is absent."""
+
+
+class UnknownGateError(WireFormatError, KeyError):
+    """A Boolean tree names a gate that is not a :class:`~repro.types.Gate`."""
+
+
+class UnknownTreeKindError(WireFormatError, ValueError):
+    """A tree's ``"kind"`` is not a :class:`~repro.types.TreeKind` value."""
+
+
+class UnknownAlgorithmError(WireFormatError, KeyError):
+    """A request's ``"algo"`` names no registered serve algorithm."""
+
+
 class DegradedRunError(ReproError):
     """The oracle runtime's circuit breaker tripped.
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Mapping, Tuple
 
+from ..errors import UnknownAlgorithmError
 from ..trees.base import GameTree
-from ..trees.io import tree_from_dict
+from ..trees.io import require_field, tree_from_dict
 
 __all__ = [
     "ALGORITHMS",
@@ -195,13 +196,18 @@ MINMAX_ALGORITHMS = (
 def run_algorithm(
     algo: str, tree: GameTree, params: Mapping[str, Any]
 ) -> EngineOutcome:
-    """Dispatch one evaluation; raises ``KeyError`` on unknown names."""
+    """Dispatch one evaluation.
+
+    Raises :class:`~repro.errors.UnknownAlgorithmError` (a ``KeyError``)
+    on unknown names.
+    """
     try:
         fn = ALGORITHMS[algo]
     except KeyError:
-        raise KeyError(
-            f"unknown algorithm {algo!r}; expected one of "
-            f"{sorted(ALGORITHMS)}"
+        raise UnknownAlgorithmError(
+            f"unknown algorithm {algo!r} in field 'algo'; expected one "
+            f"of {sorted(ALGORITHMS)}",
+            field="algo",
         ) from None
     return fn(tree, params)
 
@@ -212,8 +218,10 @@ def evaluate_payload(payload: Dict[str, Any]) -> Dict[str, Any]:
     ``payload`` carries ``algo``, ``params`` and the tree dict from
     :func:`repro.trees.io.tree_to_dict`.
     """
-    tree = tree_from_dict(payload["tree"])
+    tree = tree_from_dict(require_field(payload, "tree", "payload"))
     value, steps, work = run_algorithm(
-        payload["algo"], tree, payload.get("params", {})
+        require_field(payload, "algo", "payload"),
+        tree,
+        payload.get("params", {}),
     )
     return {"value": value, "steps": steps, "work": work}

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from ..trees.canonical import canonical_hash
 from ..trees.explicit import ExplicitTree
-from ..trees.io import tree_from_dict, tree_to_dict
+from ..trees.io import require_field, tree_from_dict, tree_to_dict
 from ..trees.uniform import UniformTree
 
 __all__ = [
@@ -119,10 +119,16 @@ def request_to_dict(req: EvalRequest) -> Dict[str, Any]:
 
 
 def request_from_dict(data: Dict[str, Any]) -> EvalRequest:
+    """Inverse of :func:`request_to_dict`.
+
+    A missing ``id``, ``algo`` or ``tree`` raises
+    :class:`~repro.errors.MissingFieldError`; a malformed tree raises
+    the typed errors of :func:`~repro.trees.io.tree_from_dict`.
+    """
     return EvalRequest(
-        request_id=int(data["id"]),
-        algo=str(data["algo"]),
-        tree=tree_from_dict(data["tree"]),
+        request_id=int(require_field(data, "id", "request")),
+        algo=str(require_field(data, "algo", "request")),
+        tree=tree_from_dict(require_field(data, "tree", "request")),
         params=tuple(sorted(
             (str(k), int(v)) for k, v in data.get("params", {}).items()
         )),

@@ -17,10 +17,21 @@ doubles exactly, so value-distinct trees get distinct encodings.
 
 Lazy trees are materialised by the walk (every reachable node is
 expanded), exactly as :meth:`GameTree.iter_nodes` would.
+
+A :class:`~repro.trees.uniform.UniformTree`'s token stream depends on
+its leaves only through the leaf tokens: everything between two
+consecutive leaves is fixed by the shape (kind, branching, height and
+gate cycle).  :func:`canonical_encoding` therefore builds those
+separators once per shape and fills in each tree's leaf tokens, with
+no per-node method calls.  :func:`reference_encoding` is the generic
+walk every other tree type takes; the two agree byte for byte, and the
+tests pin that agreement and a set of literal digests (the serve
+cache-key contract).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
@@ -29,6 +40,7 @@ import numpy as np
 
 from ..types import Gate, LeafValue, TreeKind
 from .base import GameTree, NodeId
+from .uniform import UniformTree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .explicit import ExplicitTree
@@ -38,6 +50,7 @@ __all__ = [
     "canonical_arrays",
     "canonical_encoding",
     "canonical_hash",
+    "reference_encoding",
     "trees_equal",
 ]
 
@@ -55,6 +68,20 @@ def canonical_encoding(tree: GameTree) -> bytes:
     Preorder traversal; each internal node contributes its arity (and
     gate name for Boolean trees), each leaf its value.  Identifiers
     never appear, so the encoding is representation-invariant.
+
+    Uniform trees take the per-shape template path; every other tree
+    takes :func:`reference_encoding`.  Both give the same bytes.
+    """
+    if type(tree) is UniformTree:
+        return _uniform_encoding(tree)
+    return reference_encoding(tree)
+
+
+def reference_encoding(tree: GameTree) -> bytes:
+    """:func:`canonical_encoding` by a node-by-node preorder walk.
+
+    Works on any :class:`GameTree` through the abstract interface
+    only; the uniform-tree fast path is checked against it.
     """
     parts: List[str] = [tree.kind.value]
     stack: List[NodeId] = [tree.root]
@@ -72,6 +99,102 @@ def canonical_encoding(tree: GameTree) -> bytes:
     return "|".join(parts).encode("utf-8")
 
 
+#: Shapes each template cache keeps; a serve stream carries a handful
+#: of shapes.
+_SHAPE_CACHE_SIZE = 32
+#: Larger shapes are rebuilt per call rather than cached, which bounds
+#: the cache's memory.
+_SHAPE_CACHE_MAX_LEAVES = 1 << 16
+
+#: Everything a uniform tree's encoding depends on besides its leaves:
+#: kind, branching, height and gate cycle (empty for MIN/MAX trees).
+_Shape = Tuple[TreeKind, int, int, Tuple[Gate, ...]]
+
+
+def _build_separators(shape: _Shape) -> Tuple[str, ...]:
+    """The strings between consecutive leaf tokens of a uniform shape.
+
+    ``seps[0]`` runs from the kind tag to the first leaf's ``L``;
+    ``seps[i]`` runs from the end of leaf ``i-1`` to leaf ``i``'s
+    ``L``.  Leaf ``i > 0`` is preceded by one internal node at each
+    depth ``height-k`` for every ``k`` with ``branching**k`` dividing
+    ``i`` (the subtrees it is the first leaf of).
+    """
+    kind, branching, height, cycle = shape
+    if kind is TreeKind.BOOLEAN:
+        labels = [
+            f"N{branching}:{cycle[depth % len(cycle)].name}|"
+            for depth in range(height)
+        ]
+    else:
+        labels = [f"N{branching}|"] * height
+    # by_opened[k]: separator before a leaf that opens k subtrees.
+    by_opened = ["|" + "".join(labels[height - k:]) + "L"
+                 for k in range(height)]
+    seps = [f"{kind.value}|{''.join(labels)}L"]
+    num_leaves = branching ** height
+    opened = np.zeros(num_leaves - 1, dtype=np.int64)
+    index = np.arange(1, num_leaves)
+    block = branching
+    for _ in range(1, height):
+        opened += index % block == 0
+        block *= branching
+    seps.extend(by_opened[k] for k in opened.tolist())
+    return tuple(seps)
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _cached_separators(shape: _Shape) -> Tuple[str, ...]:
+    return _build_separators(shape)
+
+
+@functools.lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _cached_byte_template(shape: _Shape) -> Tuple[np.ndarray, np.ndarray]:
+    return _build_byte_template(_cached_separators(shape))
+
+
+def _build_byte_template(
+    seps: Tuple[str, ...]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A Boolean shape's encoding with ``0`` leaves, and leaf offsets."""
+    template = np.frombuffer(
+        ("0".join(seps) + "0").encode("ascii"), dtype=np.uint8
+    )
+    lengths = np.fromiter(
+        (len(sep) + 1 for sep in seps), dtype=np.intp, count=len(seps)
+    )
+    positions = np.cumsum(lengths) - 1
+    positions.setflags(write=False)
+    return template, positions
+
+
+def _uniform_encoding(tree: UniformTree) -> bytes:
+    """:func:`canonical_encoding` of a uniform tree from its shape."""
+    leaves = tree.leaf_values_array
+    boolean = tree.kind is TreeKind.BOOLEAN
+    shape: _Shape = (
+        tree.kind,
+        tree.branching,
+        tree.height(),
+        tree._scheme.cycle if boolean else (),
+    )
+    cached = len(leaves) <= _SHAPE_CACHE_MAX_LEAVES
+    if boolean:
+        template, positions = (
+            _cached_byte_template(shape) if cached
+            else _build_byte_template(_build_separators(shape))
+        )
+        out = template.copy()
+        # Leaves are int8 0/1, so the token is one ASCII digit.
+        out[positions] = leaves + ord("0")
+        return out.tobytes()
+    seps = _cached_separators(shape) if cached else _build_separators(shape)
+    parts: List[str] = [""] * (2 * len(seps))
+    parts[0::2] = seps
+    parts[1::2] = map(repr, leaves.tolist())
+    return "".join(parts).encode("utf-8")
+
+
 #: instance-attribute memo slot; trees are immutable once built, so a
 #: computed digest stays valid for the object's lifetime.
 _HASH_ATTR = "_repro_canonical_hash"
@@ -85,10 +208,12 @@ def canonical_hash(tree: GameTree) -> str:
     the sharded serving layer relies on to route equal requests to
     the same shard and cache slot.
 
-    The digest is memoised on the tree instance (an O(n) walk per
-    *object*, not per call): a serving stream hits the same pool trees
-    thousands of times, and re-hashing them would dominate the
-    warm-cache path.
+    The digest is memoised on the tree instance, so each tree *object*
+    is encoded once however often it is hashed.  Encoding costs an
+    O(n) walk for most trees; a uniform tree costs one fill of its
+    shape's cached template (see :func:`canonical_encoding`), which
+    matters because a serve request decodes a fresh tree object and
+    so always misses the memo.
     """
     cached = getattr(tree, _HASH_ATTR, None)
     if cached is not None:

@@ -10,15 +10,52 @@ Round-trips preserve structure, values, kind and gate assignment.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Union
+from typing import Any, Dict, Mapping, Union
 
 import numpy as np
 
-from ..errors import TreeStructureError
+from ..errors import (
+    MissingFieldError,
+    TreeStructureError,
+    UnknownGateError,
+    UnknownTreeKindError,
+)
 from ..types import Gate, TreeKind
 from .explicit import ExplicitTree
 from .gates import GateScheme
 from .uniform import UniformTree
+
+
+def require_field(data: Mapping[str, Any], name: str, what: str) -> Any:
+    """``data[name]``, or a :class:`MissingFieldError` naming the field."""
+    try:
+        return data[name]
+    except KeyError:
+        raise MissingFieldError(
+            f"{what} dict is missing required field {name!r}", field=name
+        ) from None
+
+
+def _gate(name: Any) -> Gate:
+    try:
+        return Gate[str(name)]
+    except KeyError:
+        raise UnknownGateError(
+            f"unknown gate {name!r} in field 'gates'; expected one of "
+            f"{[g.name for g in Gate]}",
+            field="gates",
+        ) from None
+
+
+def _kind(raw: Any) -> TreeKind:
+    try:
+        return TreeKind(raw)
+    except ValueError:
+        raise UnknownTreeKindError(
+            f"unknown tree kind {raw!r} in field 'kind'; expected one of "
+            f"{[k.value for k in TreeKind]}",
+            field="kind",
+        ) from None
 
 
 def save_uniform(tree: UniformTree, path: str) -> None:
@@ -37,8 +74,8 @@ def save_uniform(tree: UniformTree, path: str) -> None:
 def load_uniform(path: str) -> UniformTree:
     """Read a uniform tree written by :func:`save_uniform`."""
     with np.load(path, allow_pickle=False) as data:
-        kind = TreeKind(str(data["kind"]))
-        gates = GateScheme([Gate[str(g)] for g in data["gates"]])
+        kind = _kind(str(data["kind"]))
+        gates = GateScheme([_gate(g) for g in data["gates"]])
         return UniformTree(
             int(data["branching"]),
             int(data["height"]),
@@ -62,12 +99,14 @@ def uniform_to_dict(tree: UniformTree) -> Dict[str, Any]:
 
 def uniform_from_dict(data: Dict[str, Any]) -> UniformTree:
     """Inverse of :func:`uniform_to_dict`."""
-    kind = TreeKind(data["kind"])
-    gates = GateScheme([Gate[name] for name in data["gates"]])
+    kind = _kind(require_field(data, "kind", "tree"))
+    gates = GateScheme(
+        [_gate(name) for name in require_field(data, "gates", "tree")]
+    )
     return UniformTree(
-        int(data["branching"]),
-        int(data["height"]),
-        np.asarray(data["leaves"]),
+        int(require_field(data, "branching", "tree")),
+        int(require_field(data, "height", "tree")),
+        np.asarray(require_field(data, "leaves", "tree")),
         kind=kind,
         gates=gates if kind is TreeKind.BOOLEAN else None,
     )
@@ -96,18 +135,24 @@ def explicit_to_dict(tree: ExplicitTree) -> Dict[str, Any]:
 
 def explicit_from_dict(data: Dict[str, Any]) -> ExplicitTree:
     """Inverse of :func:`explicit_to_dict`."""
-    kind = TreeKind(data["kind"])
-    leaf_values = {int(k): v for k, v in data["leaf_values"].items()}
+    kind = _kind(require_field(data, "kind", "tree"))
+    leaf_values = {
+        int(k): v
+        for k, v in require_field(data, "leaf_values", "tree").items()
+    }
     gates = None
     if kind is TreeKind.BOOLEAN:
         raw = data.get("gates")
         if raw is None:
             raise TreeStructureError("Boolean tree dict must carry gates")
         gates = {
-            i: Gate[name] for i, name in enumerate(raw) if name is not None
+            i: _gate(name) for i, name in enumerate(raw) if name is not None
         }
     return ExplicitTree(
-        data["children"], leaf_values, kind=kind, gates=gates
+        require_field(data, "children", "tree"),
+        leaf_values,
+        kind=kind,
+        gates=gates,
     )
 
 
