@@ -3,7 +3,9 @@
 from .engine import (
     AlphaBetaWidthPolicy,
     IncrementalAlphaBetaWidthPolicy,
+    prune_pass,
     prune_to_fixpoint,
+    reference_prune_pass,
     run_minmax,
     select_unfinished_by_pruning_number,
 )
@@ -19,6 +21,8 @@ __all__ = [
     "IncrementalAlphaBetaWidthPolicy",
     "run_minmax",
     "prune_to_fixpoint",
+    "prune_pass",
+    "reference_prune_pass",
     "select_unfinished_by_pruning_number",
     "sequential_alpha_beta",
     "parallel_alpha_beta",

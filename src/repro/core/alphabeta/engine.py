@@ -22,12 +22,43 @@ The pruning pass repeats until fixpoint: pruning a child can finish its
 parent, which sharpens bounds elsewhere.  Because bounds only ever
 tighten, working with momentarily stale bounds merely delays a prune to
 the next round of the fixpoint loop — it never prunes wrongly.
+
+Event-driven passes.  :func:`reference_prune_pass` walks every touched
+node of T-tilde on every pass.  :func:`prune_pass` makes the same
+``prune`` calls in the same order while visiting only what can have
+changed.  The state keeps two things for it:
+
+* ``dirty`` — the parents of nodes finished since the last pass began
+  (leaf evaluations and prune cascades alike);
+* ``window_in`` — the (alpha, beta) window each node received on its
+  last visit.
+
+A pass with no dirty node returns 0 at once.  Otherwise it runs the
+reference's right-to-left DFS, but descends into a touched child only
+when the child lies on a root path to a dirty node, or when the window
+the child now receives differs from ``window_in[child]``.
+
+Why this is exact.  A pass is a pure top-down function of the state at
+the start of the pass (see :mod:`repro.core.arena.alphabeta`): the
+windows a node's children receive depend only on the node's own window
+and its finished children, and a prune changes no window — it deletes
+an unfinished node, which contributes no value to any bound.  Only a
+finish changes a window, and every finish marks its parent dirty.  So
+a skipped child's subtree holds no node that finished since the last
+pass began, and it receives the window it was last walked with.  That
+walk left the subtree at fixpoint for that window: every node it found
+with a closed window had all its unsettled children pruned, and any
+finish those prunes cascaded would have made the subtree dirty.  The
+reference pass would therefore prune nothing there either.  Windows
+compare with ``==``; they never hold NaN (they start at +-inf and are
+narrowed by ``max``/``min``, which keep the first operand over a NaN),
+and -0.0 == 0.0 compare and prune alike.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Set
 
 from ...errors import ModelViolationError
 from ...models.accounting import EvalResult, ExecutionTrace
@@ -35,7 +66,7 @@ from ...telemetry import Recorder, live
 from ...trees.base import GameTree, NodeId
 from ...types import NodeType
 from ..frontier import FrontierIndex, _IncrementalPolicy
-from .state import AlphaBetaState
+from .state import AlphaBetaState, PrunedTreeState
 
 #: A selection policy: (tree, state) -> batch of unfinished leaves.
 MinmaxPolicy = Callable[[GameTree, AlphaBetaState], List[NodeId]]
@@ -44,7 +75,7 @@ MinmaxPolicy = Callable[[GameTree, AlphaBetaState], List[NodeId]]
 MinmaxStepHook = Callable[[AlphaBetaState, int, List[NodeId]], None]
 
 
-def prune_to_fixpoint(state: AlphaBetaState) -> int:
+def prune_to_fixpoint(state: PrunedTreeState) -> int:
     """Apply the pruning rule until nothing more can be deleted.
 
     Returns the number of nodes pruned.  Cost is not charged to the
@@ -52,46 +83,95 @@ def prune_to_fixpoint(state: AlphaBetaState) -> int:
     """
     total = 0
     while True:
-        pruned_now = _prune_pass(state)
+        pruned_now = prune_pass(state)
         total += pruned_now
         if pruned_now == 0:
             return total
 
 
-def _prune_pass(state: AlphaBetaState) -> int:
+def prune_pass(state: PrunedTreeState) -> int:
+    """One pruning pass, re-walking only what can have changed.
+
+    Makes exactly the ``prune`` calls of :func:`reference_prune_pass`,
+    in the same order (see the module docstring for why).  Returns the
+    number of nodes pruned.
+    """
+    dirty = state.dirty
+    if not dirty:
+        return 0
+    state.dirty = set()
     tree = state.tree
     root = tree.root
-    if state.is_finished(root):
+    if root in state.finished_value:
         return 0
+    # Every node on a root path to a dirty node.
+    on_path: Set[NodeId] = set()
+    for node in dirty:
+        while node is not None and node not in on_path:
+            on_path.add(node)
+            node = tree.parent(node)
+    return _walk(state, on_path)
+
+
+def reference_prune_pass(state: PrunedTreeState) -> int:
+    """One full pruning pass over every touched node of T-tilde.
+
+    The literal top-down reading of the pruning rule; kept as the
+    oracle :func:`prune_pass` is tested against.
+    """
+    root = state.tree.root
+    if root in state.finished_value or root not in state.touched:
+        return 0
+    return _walk(state, None)
+
+
+def _walk(state: PrunedTreeState, on_path: Optional[Set[NodeId]]) -> int:
+    """Right-to-left DFS of T-tilde from the root, pruning on the way.
+
+    At each visited node the window handed to its children is sharpened
+    with its finished children's values; a closed window prunes every
+    unsettled child, an open one descends into the touched children.
+    With ``on_path`` given, only into those on it or whose window
+    differs from the one they last received; ``None`` descends into
+    all of them.
+    """
+    tree = state.tree
+    finished = state.finished_value
+    pruned = state.pruned
+    touched = state.touched
+    window_in = state.window_in
     count = 0
-    stack = [(root, -math.inf, math.inf)]
+    stack = [(tree.root, -math.inf, math.inf)]
     while stack:
         node, alpha, beta = stack.pop()
-        if node in state.pruned or node in state.finished_value:
+        if node in pruned or node in finished:
             continue  # settled by a cascade after being pushed
-        is_max = tree.node_type(node) is NodeType.MAX
+        kids = tree.children(node)
         finished_vals = [
-            state.finished_value[c]
-            for c in tree.children(node)
-            if c in state.finished_value and c not in state.pruned
+            finished[c] for c in kids if c in finished and c not in pruned
         ]
-        if is_max:
-            child_alpha = max([alpha] + finished_vals)
-            child_beta = beta
+        if tree.node_type(node) is NodeType.MAX:
+            alpha = max([alpha] + finished_vals)
         else:
-            child_alpha = alpha
-            child_beta = min([beta] + finished_vals)
-        for child in tree.children(node):
-            if child in state.pruned or child in state.finished_value:
+            beta = min([beta] + finished_vals)
+        window = (alpha, beta)
+        for child in kids:
+            if child in pruned or child in finished:
                 continue
-            if child_alpha >= child_beta:
+            if alpha >= beta:
                 state.prune(child)
                 count += 1
-                if node in state.finished_value or node in state.pruned:
+                if node in finished or node in pruned:
                     break  # the prune cascaded; siblings are settled
                 continue
-            if not tree.is_leaf(child) and child in state.touched:
-                stack.append((child, child_alpha, child_beta))
+            # A touched unsettled node has an evaluated leaf strictly
+            # below it, so it is internal (and, in T*, expanded).
+            if child in touched and (
+                on_path is None or child in on_path
+                or window_in.get(child) != window
+            ):
+                window_in[child] = window
+                stack.append((child, alpha, beta))
     return count
 
 

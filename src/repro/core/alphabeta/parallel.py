@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 def _width_policy(
     width: int, backend: str, recorder: Optional[Recorder] = None
 ) -> MinmaxPolicy:
-    backend = resolve_backend(backend)
     if backend == "arena":
         return ArenaAlphaBetaWidthPolicy(width)
     if backend == "incremental":
@@ -48,7 +47,7 @@ def sequential_alpha_beta(
     tree: GameTree,
     *,
     keep_batches: bool = False,
-    backend: str = "incremental",
+    backend: Optional[str] = None,
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,
@@ -83,17 +82,17 @@ def parallel_alpha_beta(
     *,
     keep_batches: bool = False,
     on_step=None,
-    backend: str = "incremental",
+    backend: Optional[str] = None,
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,
 ) -> EvalResult:
     """Parallel alpha-beta of the given width.
 
-    ``backend`` selects the frontier engine: ``"incremental"``
-    (default), ``"rescan"`` (the reference per-step recomputation) or
-    ``"arena"`` (vectorised struct-of-arrays sweeps).  All produce
-    identical per-step batches.
+    ``backend`` selects the frontier engine: ``"rescan"`` (the
+    reference per-step recomputation, and the default), ``"incremental"``
+    (a maintained frontier index) or ``"arena"`` (vectorised
+    struct-of-arrays sweeps).  All produce identical per-step batches.
 
     ``executor`` selects where leaf batches are evaluated:
     ``"inline"`` (in-process, the default) or ``"shm"`` (a

@@ -7,7 +7,10 @@ is *finished* when every leaf of its pruned subtree has been evaluated;
 finished nodes have a value in T-tilde.  Unfinished nodes may be
 *pruned* (deleted) when their alpha-bound meets their beta-bound.
 
-This class tracks finishes, prunes and the cascades between them:
+:class:`PrunedTreeState` tracks finishes, prunes and the cascades
+between them, for both the leaf-evaluation model
+(:class:`AlphaBetaState`) and the node-expansion model
+(:class:`~repro.core.nodeexpansion.ExpansionAlphaBetaState`):
 
 * finishing the last unfinished (non-pruned) child of a node finishes
   the node with the MAX/MIN of its remaining children's values;
@@ -15,20 +18,26 @@ This class tracks finishes, prunes and the cascades between them:
   therefore also finish the node.
 
 Bounds themselves are computed top-down by the engine's pruning pass;
-the state only stores what is monotone (finished values, pruned flags).
+the state only stores what is monotone (finished values, pruned flags)
+plus the two pieces of bookkeeping that let the pass skip subtrees
+that cannot have changed (``dirty`` and ``window_in``, see
+:func:`repro.core.alphabeta.engine.prune_pass`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ...errors import ModelViolationError, PruningInvariantError
 from ...trees.base import GameTree, NodeId
 from ...types import NodeType
 
+#: The (alpha, beta) bounds a prune pass hands down to a node.
+Window = Tuple[float, float]
 
-class AlphaBetaState:
-    """Evaluation state of the pruning process over a MIN/MAX tree."""
+
+class PrunedTreeState:
+    """Finishes, prunes and their cascades over a MIN/MAX tree."""
 
     def __init__(self, tree: GameTree):
         self.tree = tree
@@ -36,11 +45,13 @@ class AlphaBetaState:
         self.finished_value: Dict[NodeId, float] = {}
         #: nodes deleted by the pruning rule (subtree roots).
         self.pruned: Set[NodeId] = set()
-        #: leaves that have been evaluated.
-        self.evaluated: Set[NodeId] = set()
         #: nodes with at least one evaluated leaf in their subtree; the
         #: pruning pass only needs to descend into these.
         self.touched: Set[NodeId] = set()
+        #: parents of nodes finished since the last prune pass began.
+        self.dirty: Set[NodeId] = set()
+        #: the window each node received on its last prune-pass visit.
+        self.window_in: Dict[NodeId, Window] = {}
         self._unfinished_children: Dict[NodeId, int] = {}
         self._observers: List[Callable[[NodeId], None]] = []
 
@@ -54,10 +65,78 @@ class AlphaBetaState:
         """
         self._observers.append(on_settled)
 
-    # -- queries ----------------------------------------------------------
     def is_finished(self, node: NodeId) -> bool:
         return node in self.finished_value
 
+    def prune(self, node: NodeId) -> None:
+        """Delete unfinished ``node`` from T-tilde; cascade to the parent."""
+        if node in self.pruned:
+            return
+        if node in self.finished_value:
+            raise ModelViolationError(
+                f"pruning rule applies only to unfinished nodes: {node!r}"
+            )
+        self.pruned.add(node)
+        for notify in self._observers:
+            notify(node)
+        parent = self.tree.parent(node)
+        if parent is not None:
+            self._child_settled(parent)
+
+    # -- internals -----------------------------------------------------------
+    def _mark_touched(self, node: NodeId) -> None:
+        for anc in self.tree.ancestors(node):
+            if anc in self.touched:
+                break
+            self.touched.add(anc)
+
+    def _finish(self, node: NodeId, val: float) -> None:
+        if node in self.finished_value:
+            return
+        self.finished_value[node] = val
+        for notify in self._observers:
+            notify(node)
+        parent = self.tree.parent(node)
+        if parent is not None:
+            self.dirty.add(parent)
+            self._child_settled(parent)
+
+    def _child_settled(self, node: NodeId) -> None:
+        """A child of ``node`` was finished or pruned; update the count."""
+        if node in self.finished_value or node in self.pruned:
+            return
+        remaining = self._unfinished_children.get(node)
+        if remaining is None:
+            remaining = self.tree.arity(node)
+        remaining -= 1
+        self._unfinished_children[node] = remaining
+        if remaining > 0:
+            return
+        vals = [
+            self.finished_value[c]
+            for c in self.tree.children(node)
+            if c not in self.pruned
+        ]
+        if not vals:
+            raise PruningInvariantError(
+                f"every child of {node!r} was pruned while {node!r} "
+                f"survived — the pruning pass violated top-down order"
+            )
+        if self.tree.node_type(node) is NodeType.MAX:
+            self._finish(node, max(vals))
+        else:
+            self._finish(node, min(vals))
+
+
+class AlphaBetaState(PrunedTreeState):
+    """Evaluation state of the pruning process over a MIN/MAX tree."""
+
+    def __init__(self, tree: GameTree):
+        super().__init__(tree)
+        #: leaves that have been evaluated.
+        self.evaluated: Set[NodeId] = set()
+
+    # -- queries ----------------------------------------------------------
     def is_pruned_here(self, node: NodeId) -> bool:
         """Whether ``node`` itself carries a pruned flag."""
         return node in self.pruned
@@ -97,61 +176,3 @@ class AlphaBetaState:
         self._mark_touched(leaf)
         self._finish(leaf, val)
         return val
-
-    def prune(self, node: NodeId) -> None:
-        """Delete unfinished ``node`` from T-tilde; cascade to the parent."""
-        if node in self.pruned:
-            return
-        if node in self.finished_value:
-            raise ModelViolationError(
-                f"pruning rule applies only to unfinished nodes: {node!r}"
-            )
-        self.pruned.add(node)
-        for notify in self._observers:
-            notify(node)
-        parent = self.tree.parent(node)
-        if parent is not None:
-            self._child_settled(parent)
-
-    # -- internals -----------------------------------------------------------
-    def _mark_touched(self, node: NodeId) -> None:
-        for anc in self.tree.ancestors(node):
-            if anc in self.touched:
-                break
-            self.touched.add(anc)
-
-    def _finish(self, node: NodeId, val: float) -> None:
-        if node in self.finished_value:
-            return
-        self.finished_value[node] = val
-        for notify in self._observers:
-            notify(node)
-        parent = self.tree.parent(node)
-        if parent is not None:
-            self._child_settled(parent)
-
-    def _child_settled(self, node: NodeId) -> None:
-        """A child of ``node`` was finished or pruned; update the count."""
-        if node in self.finished_value or node in self.pruned:
-            return
-        remaining = self._unfinished_children.get(node)
-        if remaining is None:
-            remaining = self.tree.arity(node)
-        remaining -= 1
-        self._unfinished_children[node] = remaining
-        if remaining > 0:
-            return
-        vals = [
-            self.finished_value[c]
-            for c in self.tree.children(node)
-            if c not in self.pruned
-        ]
-        if not vals:
-            raise PruningInvariantError(
-                f"every child of {node!r} was pruned while {node!r} "
-                f"survived — the pruning pass violated top-down order"
-            )
-        if self.tree.node_type(node) is NodeType.MAX:
-            self._finish(node, max(vals))
-        else:
-            self._finish(node, min(vals))

@@ -5,7 +5,6 @@ from .alphabeta import (
     NAlphaBetaWidthPolicy,
     n_parallel_alpha_beta,
     n_sequential_alpha_beta,
-    prune_expansion_to_fixpoint,
     run_expansion_minmax,
     select_expansion_frontier,
 )
@@ -36,5 +35,4 @@ __all__ = [
     "select_frontier_by_pruning_number",
     "select_leftmost_frontier",
     "select_expansion_frontier",
-    "prune_expansion_to_fixpoint",
 ]

@@ -6,35 +6,30 @@ the details for space.  The conversion follows the same recipe as
 SOLVE: the pruned tree T-tilde now lives over the generated tree T*,
 frontier nodes (live, unexpanded, not pruned) replace unfinished
 leaves as the selectable unit, and expansion of a leaf finishes it.
+The pruning pass is the leaf-evaluation model's
+(:func:`repro.core.alphabeta.engine.prune_to_fixpoint`): it descends
+only into touched nodes, and in T* a touched unfinished node is always
+an expanded internal node.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
-from ...errors import ModelViolationError, PruningInvariantError
+from ...errors import ModelViolationError
 from ...models.accounting import EvalResult, ExecutionTrace
 from ...trees.base import GameTree, NodeId
-from ...types import NodeType
+from ..alphabeta.engine import prune_to_fixpoint
+from ..alphabeta.state import PrunedTreeState
 
 
-class ExpansionAlphaBetaState:
+class ExpansionAlphaBetaState(PrunedTreeState):
     """T* plus pruned-tree bookkeeping for MIN/MAX node expansion."""
 
     def __init__(self, tree: GameTree):
-        self.tree = tree
+        super().__init__(tree)
         self.expanded: Set[NodeId] = set()
-        self.finished_value: Dict[NodeId, float] = {}
-        self.pruned: Set[NodeId] = set()
-        self.touched: Set[NodeId] = set()
-        self._unfinished_children: Dict[NodeId, int] = {}
 
-    # -- queries ----------------------------------------------------------
-    def is_finished(self, node: NodeId) -> bool:
-        return node in self.finished_value
-
-    # -- updates ------------------------------------------------------------
     def expand(self, node: NodeId) -> None:
         if node in self.expanded:
             raise ModelViolationError(f"node {node!r} expanded twice")
@@ -42,107 +37,6 @@ class ExpansionAlphaBetaState:
         if self.tree.is_leaf(node):
             self._mark_touched(node)
             self._finish(node, float(self.tree.leaf_value(node)))
-
-    def prune(self, node: NodeId) -> None:
-        if node in self.pruned:
-            return
-        if node in self.finished_value:
-            raise ModelViolationError(
-                f"pruning rule applies only to unfinished nodes: {node!r}"
-            )
-        self.pruned.add(node)
-        parent = self.tree.parent(node)
-        if parent is not None:
-            self._child_settled(parent)
-
-    def _mark_touched(self, node: NodeId) -> None:
-        for anc in self.tree.ancestors(node):
-            if anc in self.touched:
-                break
-            self.touched.add(anc)
-
-    def _finish(self, node: NodeId, val: float) -> None:
-        if node in self.finished_value:
-            return
-        self.finished_value[node] = val
-        parent = self.tree.parent(node)
-        if parent is not None:
-            self._child_settled(parent)
-
-    def _child_settled(self, node: NodeId) -> None:
-        if node in self.finished_value or node in self.pruned:
-            return
-        if node not in self.expanded:  # pragma: no cover - defensive
-            raise ModelViolationError(
-                f"child of unexpanded node {node!r} settled"
-            )
-        remaining = self._unfinished_children.get(node)
-        if remaining is None:
-            remaining = self.tree.arity(node)
-        remaining -= 1
-        self._unfinished_children[node] = remaining
-        if remaining > 0:
-            return
-        vals = [
-            self.finished_value[c]
-            for c in self.tree.children(node)
-            if c not in self.pruned
-        ]
-        if not vals:
-            raise PruningInvariantError(
-                f"every child of {node!r} was pruned while it survived"
-            )
-        if self.tree.node_type(node) is NodeType.MAX:
-            self._finish(node, max(vals))
-        else:
-            self._finish(node, min(vals))
-
-
-def prune_expansion_to_fixpoint(state: ExpansionAlphaBetaState) -> int:
-    """Apply the pruning rule over T* until fixpoint; free in the model."""
-    total = 0
-    while True:
-        pruned_now = _prune_pass(state)
-        total += pruned_now
-        if pruned_now == 0:
-            return total
-
-
-def _prune_pass(state: ExpansionAlphaBetaState) -> int:
-    tree = state.tree
-    root = tree.root
-    if state.is_finished(root) or root not in state.expanded:
-        return 0
-    count = 0
-    stack = [(root, -math.inf, math.inf)]
-    while stack:
-        node, alpha, beta = stack.pop()
-        if node in state.pruned or node in state.finished_value:
-            continue
-        is_max = tree.node_type(node) is NodeType.MAX
-        finished_vals = [
-            state.finished_value[c]
-            for c in tree.children(node)
-            if c in state.finished_value and c not in state.pruned
-        ]
-        if is_max:
-            child_alpha = max([alpha] + finished_vals)
-            child_beta = beta
-        else:
-            child_alpha = alpha
-            child_beta = min([beta] + finished_vals)
-        for child in tree.children(node):
-            if child in state.pruned or child in state.finished_value:
-                continue
-            if child_alpha >= child_beta:
-                state.prune(child)
-                count += 1
-                if node in state.finished_value or node in state.pruned:
-                    break
-                continue
-            if child in state.expanded and child in state.touched:
-                stack.append((child, child_alpha, child_beta))
-    return count
 
 
 def select_expansion_frontier(
@@ -210,7 +104,7 @@ def run_expansion_minmax(
             )
         for node in batch:
             state.expand(node)
-        prune_expansion_to_fixpoint(state)
+        prune_to_fixpoint(state)
         trace.record(batch)
         expanded_order.extend(batch)
         if on_step is not None:

@@ -9,6 +9,8 @@ trees, with n+1 processors.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ...errors import BackendUnsupportedError
 from ...models.accounting import EvalResult
 from ...trees.base import GameTree
@@ -30,7 +32,7 @@ def n_parallel_solve(
     tree: GameTree,
     width: int = 1,
     *,
-    backend: str = "incremental",
+    backend: Optional[str] = None,
     **kw,
 ) -> EvalResult:
     """Expand all frontier nodes with pruning number <= width (P-SOLVE*).

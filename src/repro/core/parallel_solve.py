@@ -11,12 +11,23 @@ Width 0 coincides with Sequential SOLVE.  On a uniform tree of height
 n, width 1 uses at most n + 1 processors and achieves a speed-up of
 c(n+1) over Sequential SOLVE on *every* instance (Theorem 1).
 
-Two step-for-step identical backends implement the selection: the
-default ``"incremental"`` backend maintains the frontier in a priority
-structure updated on each determination
-(:mod:`repro.core.frontier`), while ``"rescan"`` recomputes it with a
-budgeted DFS every step — the literal reading of the paper's
-definition, kept as the reference implementation.
+Three step-for-step identical backends implement the selection:
+``"rescan"`` recomputes it with a budgeted DFS every step — the
+literal reading of the paper's definition, kept as the reference
+implementation; ``"incremental"`` maintains the frontier in a priority
+structure updated on each determination (:mod:`repro.core.frontier`);
+``"arena"`` runs vectorised sweeps over the lowered tree
+(:mod:`repro.core.arena`).
+
+With no ``backend=`` argument, :func:`resolve_backend` runs
+incremental when ``max_processors`` bounds the selection and rescan
+otherwise, the faster of the two in each regime.  On the solve-grid
+workload (``perfbench/run.py --workload solve-grid --trace 1``,
+medians of seeds 1-4, 2-core host), moving off incremental took
+``core.cell.team_p4_d5n7_ms`` from 208 to 27 ms and
+``core.cell.parallel_w4_d5n7_ms`` from 125 to 61 ms; the bounded
+``core.cell.bounded_w4p2_d4n8_ms`` stays on incremental, which the
+``e21b/speedup`` gate holds at >= 5x over rescan.
 """
 
 from __future__ import annotations
@@ -54,8 +65,18 @@ BACKENDS = ("incremental", "rescan", "arena")
 EXECUTORS = ("inline", "shm")
 
 
-def resolve_backend(backend: str) -> str:
-    """Validate a ``backend=`` argument, returning it unchanged."""
+def resolve_backend(
+    backend: Optional[str], *, max_processors: Optional[int] = None
+) -> str:
+    """Validate a ``backend=`` argument; ``None`` picks the default.
+
+    The default is the measured-fastest backend for the call
+    (docs/frontier_engine.md, "Choosing a backend"): ``"incremental"``
+    when ``max_processors`` caps the selection, ``"rescan"`` for every
+    unbounded selection.  An explicit backend is returned unchanged.
+    """
+    if backend is None:
+        return "rescan" if max_processors is None else "incremental"
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -109,7 +130,7 @@ def parallel_solve(
     max_processors: Optional[int] = None,
     keep_batches: bool = False,
     on_step=None,
-    backend: str = "incremental",
+    backend: Optional[str] = None,
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,
@@ -120,10 +141,12 @@ def parallel_solve(
     leaves (smallest pruning number, leftmost on ties) — the practical
     fixed-machine variant the paper's Section 7 closes with.
 
-    ``backend`` selects the frontier engine: ``"incremental"``
-    (default), ``"rescan"`` (the reference per-step recomputation) or
-    ``"arena"`` (vectorised struct-of-arrays sweeps).  All produce
-    identical per-step batches.
+    ``backend`` selects the frontier engine: ``"rescan"`` (the
+    reference per-step recomputation), ``"incremental"`` (a maintained
+    frontier index) or ``"arena"`` (vectorised struct-of-arrays
+    sweeps).  All produce identical per-step batches.  ``None`` (the
+    default) picks incremental under ``max_processors`` and rescan
+    otherwise (:func:`resolve_backend`).
 
     ``executor`` selects where leaf batches are evaluated:
     ``"inline"`` (in-process, the default) or ``"shm"`` (a
@@ -136,7 +159,7 @@ def parallel_solve(
     samples, frontier counters); the default records nothing.
     """
     policy: Policy
-    backend = resolve_backend(backend)
+    backend = resolve_backend(backend, max_processors=max_processors)
     if resolve_executor(executor) == "shm":
         check_shm_support("parallel-solve", backend, on_step=on_step)
         from .shm import shm_parallel_solve
@@ -185,7 +208,7 @@ def saturation_solve(
     tree: GameTree,
     *,
     keep_batches: bool = False,
-    backend: str = "incremental",
+    backend: Optional[str] = None,
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,

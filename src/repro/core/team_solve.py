@@ -33,7 +33,7 @@ def team_solve(
     processors: int,
     *,
     keep_batches: bool = False,
-    backend: str = "incremental",
+    backend: Optional[str] = None,
     executor: str = "inline",
     shm_options: "Optional[ShmOptions]" = None,
     recorder: Optional[Recorder] = None,

@@ -15,7 +15,7 @@ indistinguishable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from ..errors import UnknownAlgorithmError
 from ..trees.base import GameTree
@@ -32,12 +32,14 @@ __all__ = [
 #: value, model steps (ticks for the machine), total work.
 EngineOutcome = Tuple[float, int, int]
 #: Params are wire-level: widths/processor counts plus an optional
-#: ``backend`` string for the frontier-backend-capable engines.
+#: ``backend`` string for the frontier-backend-capable engines (absent:
+#: the engine's own default, see
+#: :func:`repro.core.parallel_solve.resolve_backend`).
 EngineFn = Callable[[GameTree, Mapping[str, Any]], EngineOutcome]
 
 
-def _backend(params: Mapping[str, Any]) -> str:
-    backend: str = params.get("backend", "incremental")
+def _backend(params: Mapping[str, Any]) -> Optional[str]:
+    backend: Optional[str] = params.get("backend")
     return backend
 
 
@@ -85,7 +87,9 @@ def _nsequential(
 def _nparallel(tree: GameTree, params: Mapping[str, Any]) -> EngineOutcome:
     from ..core.nodeexpansion import n_parallel_solve
 
-    res = n_parallel_solve(tree, params.get("width", 1))
+    res = n_parallel_solve(
+        tree, params.get("width", 1), backend=_backend(params)
+    )
     return float(res.value), res.num_steps, res.total_work
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import DegradedRunError
+from repro.errors import BackendUnsupportedError, DegradedRunError
 from repro.serve import (
     EvalRequest,
     ShardedBatchService,
@@ -182,3 +182,13 @@ def test_invalid_configuration_rejected():
         ShardedBatchService(0)
     with pytest.raises(ValueError):
         ShardedBatchService(1, pool="bogus")
+
+
+def test_nparallel_passes_backend_through():
+    tree = iid_boolean(2, 4, 0.4, seed=3)
+    with pytest.raises(BackendUnsupportedError) as info:
+        run_algorithm("nparallel", tree, {"width": 1, "backend": "arena"})
+    assert info.value.engine == "n-parallel-solve"
+    assert run_algorithm(
+        "nparallel", tree, {"width": 1, "backend": "rescan"}
+    ) == run_algorithm("nparallel", tree, {"width": 1})
